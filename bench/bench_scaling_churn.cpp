@@ -45,15 +45,19 @@ ExperimentConfig base_config() {
   cfg.protocol = harness::Protocol::kSync;
   cfg.seed = 23;
   cfg.delta = 3;
-  // Fixed total-join budget: the horizon shrinks as n grows so a cell costs
-  // O(joins * n) messages regardless of n, keeping the big points affordable.
-  cfg.duration = 600;
+  cfg.duration = 600;  // replaced per n by scaled_duration()
   cfg.churn_kind = harness::ChurnKind::kConstant;
   cfg.workload.read_interval = 20;
   cfg.workload.write_interval = 60;
   return cfg;
 }
 
+// The horizon shrinks as n grows, 600*30/n ticks, but never below 150. The
+// total-join budget (c*n*horizon joins) is fixed only while the shrink
+// binds, up to n = 120. From n = 120 up the floor binds instead: joins grow
+// as c*n*150 and, each join being an O(n) inquiry broadcast plus replies,
+// sync-join traffic grows as n^2. That is why the big --max-n cells are the
+// expensive ones.
 sim::Time scaled_duration(std::size_t n) {
   return std::max<sim::Time>(150, 600 * 30 / static_cast<sim::Time>(n));
 }

@@ -1,19 +1,18 @@
-// Shared helpers for the scripted experiments: a minimal cluster deployment
-// (mirroring the protocol wiring of the experiment harness) that the bench
-// drives step by step, plus a predicate-pump.
+// Shared helpers for the scripted experiments: a cluster deployment (one
+// harness::World) that the bench drives step by step, plus a
+// predicate-pump.
 #pragma once
 
 #include <memory>
 #include <optional>
 #include <utility>
 
+#include "churn/churn_model.h"
 #include "churn/system.h"
 #include "dynreg/es_register.h"
 #include "dynreg/sync_register.h"
+#include "harness/world.h"
 #include "net/delay_model.h"
-#include "net/network.h"
-#include "replay/recorder.h"
-#include "replay/replayer.h"
 #include "replay/session.h"
 #include "sim/simulation.h"
 #include "stats/table.h"
@@ -31,7 +30,8 @@ bool pump_until(sim::Simulation& sim, Pred pred, sim::Time deadline) {
   return pred();
 }
 
-/// A scripted protocol deployment (no workload driver; the bench drives).
+/// A scripted protocol deployment: one harness::World with no workload
+/// driver (the bench drives it).
 ///
 /// Record/replay: pass a nonzero `replay_key` (replay::scenario_key of the
 /// scenario's name and distinguishing parameters) and the cluster enrolls
@@ -42,41 +42,26 @@ bool pump_until(sim::Simulation& sim, Pred pred, sim::Time deadline) {
 /// only the substrate's decisions are in the trace. With replay_key 0 (the
 /// default) the cluster ignores the session.
 class ScriptedCluster {
+  // Declared first: the session enrolment and the tap must outlive the
+  // World wired against them.
+  replay::Enrolment enrolment_;
+  harness::RunTap tap_;
+
  public:
   ScriptedCluster(std::uint64_t seed, std::size_t n, double churn_rate,
                   churn::LeavePolicy policy, std::unique_ptr<net::DelayModel> delays,
                   churn::System::NodeFactory factory, std::uint64_t replay_key = 0)
-      : replay_key_(replay_key),
+      : enrolment_(replay_key == 0
+                       ? replay::Enrolment{}
+                       : replay::Enrolment{[replay_key] { return replay_key; }, seed}),
+        tap_(enrolment_.hooks(), /*shared=*/false),
         sim(seed),
-        net(sim, prepare_delays(std::move(delays), seed, churn_rate)) {
-    churn::SystemConfig cfg;
-    cfg.initial_size = n;
-    cfg.leave_policy = policy;
-    std::unique_ptr<churn::ChurnModel> model;
-    if (replayer_) {
-      model = replayer_->make_churn_model();
-    } else if (churn_rate > 0.0) {
-      model = std::make_unique<churn::ConstantChurn>(churn_rate);
-    } else {
-      model = std::make_unique<churn::NoChurn>();
-    }
-    system = std::make_unique<churn::System>(sim, net, cfg, std::move(model),
-                                             std::move(factory));
-    if (recorder_) system->set_churn_observer(recorder_.get());
-    system->bootstrap();
+        world(sim, make_spec(n, churn_rate, policy, std::move(delays), std::move(factory)),
+              tap_) {
+    world.start();
   }
 
-  ~ScriptedCluster() {
-    replay::Session& session = replay::Session::instance();
-    if (rec_trace_) {
-      rec_trace_->recorded_hash = sim.trace_hash();
-      session.commit(std::move(*rec_trace_));
-    } else if (replay_trace_) {
-      const std::uint64_t h = sim.trace_hash();
-      session.note_replay(replay_trace_->recorded_hash == 0 || h == 0 ||
-                          h == replay_trace_->recorded_hash);
-    }
-  }
+  ~ScriptedCluster() { enrolment_.finish(sim.trace_hash()); }
 
   ScriptedCluster(const ScriptedCluster&) = delete;
   ScriptedCluster& operator=(const ScriptedCluster&) = delete;
@@ -112,39 +97,8 @@ class ScriptedCluster {
   }
 
   RegisterNode* node(sim::ProcessId id) {
-    return dynamic_cast<RegisterNode*>(system->find(id));
+    return dynamic_cast<RegisterNode*>(world.system().find(id));
   }
-
- private:
-  // Replay plumbing. Declared before `sim`/`net` so prepare_delays (called
-  // in net's initializer) can populate it; the replayer must also outlive
-  // the Network that owns the delay model it built.
-  std::uint64_t replay_key_ = 0;
-  std::unique_ptr<replay::Trace> rec_trace_;
-  std::unique_ptr<replay::TraceRecorder> recorder_;
-  std::shared_ptr<const replay::Trace> replay_trace_;
-  std::unique_ptr<replay::TraceReplayer> replayer_;
-
-  std::unique_ptr<net::DelayModel> prepare_delays(std::unique_ptr<net::DelayModel> delays,
-                                                  std::uint64_t seed, double churn_rate) {
-    replay::Session& session = replay::Session::instance();
-    const replay::Session::Mode mode = session.mode();
-    if (replay_key_ == 0 || mode == replay::Session::Mode::kOff) return delays;
-    if (mode == replay::Session::Mode::kRecord) {
-      rec_trace_ = std::make_unique<replay::Trace>();
-      rec_trace_->fingerprint = replay_key_;
-      rec_trace_->seed = seed;
-      rec_trace_->churn_loop = churn_rate > 0.0;
-      recorder_ = std::make_unique<replay::TraceRecorder>(*rec_trace_);
-      return std::make_unique<replay::RecordingDelayModel>(std::move(delays),
-                                                           *rec_trace_);
-    }
-    replay_trace_ = session.find(replay_key_, seed);
-    replayer_ = std::make_unique<replay::TraceReplayer>(replay_trace_);
-    return replayer_->make_delay_model();
-  }
-
- public:
 
   std::optional<Value> read_blocking(sim::ProcessId id, sim::Duration max_wait = 10000) {
     std::optional<Value> result;
@@ -158,8 +112,25 @@ class ScriptedCluster {
   }
 
   sim::Simulation sim;
-  net::Network net;
-  std::unique_ptr<churn::System> system;
+  harness::World world;
+
+ private:
+  static harness::GroupSpec make_spec(std::size_t n, double churn_rate,
+                                      churn::LeavePolicy policy,
+                                      std::unique_ptr<net::DelayModel> delays,
+                                      churn::System::NodeFactory factory) {
+    harness::GroupSpec spec;
+    spec.system.initial_size = n;
+    spec.system.leave_policy = policy;
+    spec.delays = std::move(delays);
+    if (churn_rate > 0.0) {
+      spec.churn = std::make_unique<churn::ConstantChurn>(churn_rate);
+    } else {
+      spec.churn = std::make_unique<churn::NoChurn>();
+    }
+    spec.factory = std::move(factory);
+    return spec;
+  }
 };
 
 }  // namespace dynreg::bench

@@ -24,7 +24,10 @@
 //       constructions (E1, E2, E5) ignore all workload overrides.
 //       Sharded-keyspace knobs (E19, E20; docs/ARCHITECTURE.md): --shards
 //       overrides the shard count, --zipf the zipfian skew exponent of the
-//       keyed workload, --read-frac its read fraction in [0, 1].
+//       keyed workload, --read-frac its read fraction in [0, 1]. A sharded
+//       config that arms a fault plan or concurrent writers is rejected:
+//       that experiment prints one error line and no table, and the exit
+//       status is 1.
 //   dynreg_exp record <name> --out=FILE [--seeds=N] [--jobs=N]
 //       Runs one experiment with every schedule decision captured, writes
 //       the trace set to FILE, and prints the run's JSON to stdout.
@@ -52,6 +55,7 @@
 #include <iostream>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -296,9 +300,17 @@ int cmd_run(const std::vector<std::string>& args) {
   if (wrap_json) std::cout << "[\n";
   bool first = true;
 
+  bool rejected = false;
   for (const Experiment* e : todo) {
     const std::size_t seeds = bench::effective_seeds(*e, opts);
-    const bench::ExperimentResult result = bench::run_resolved(*e, opts);
+    bench::ExperimentResult result;
+    try {
+      result = bench::run_resolved(*e, opts);
+    } catch (const std::invalid_argument& err) {
+      std::cerr << "dynreg_exp: " << e->name << ": " << err.what() << "\n";
+      rejected = true;
+      continue;
+    }
 
     std::string payload;
     std::string extension;
@@ -344,7 +356,7 @@ int cmd_run(const std::vector<std::string>& args) {
     }
   }
   if (wrap_json) std::cout << "]\n";
-  return 0;
+  return rejected ? 1 : 0;
 }
 
 /// Looks an experiment up by CLI name or paper id ("E4").

@@ -1,8 +1,7 @@
-// Shared run-assembly builders: the pieces of run_experiment that both the
-// single-register pipeline (harness/experiment.cpp) and the sharded
-// pipeline (shard/sharded_run.cpp) assemble per world — delay model, node
-// factory, designated writers. Kept in one place so the two pipelines can
-// never drift in how a config maps to protocol parameters.
+// Run-assembly builders: how a config maps to a register group's delay
+// model, node factory and designated writers. harness::group_spec
+// (harness/world.h) builds every World from them; they stay public for
+// callers that assemble a group by hand.
 #pragma once
 
 #include <memory>

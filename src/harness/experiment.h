@@ -82,11 +82,12 @@ struct ExperimentConfig {
   workload::Config workload;  ///< Traffic description + engine (open/closed/bursty).
 
   /// Sharded keyspace (src/shard/): number of independent register groups
-  /// the total population n is partitioned into, each with its own network,
-  /// membership, designated writer, and history, driven by the keyed
-  /// workload engine. 0 = the single-register path, byte-identical to
-  /// pre-shard builds. Fault plans are ignored when sharded (the injector
-  /// targets the one-system world; E19/E20 arm none).
+  /// the total population n is partitioned into, each its own World (network,
+  /// membership, designated writer, history), driven by the keyed workload
+  /// engine. 0 = the single-register path, byte-identical to pre-shard
+  /// builds. run_experiment rejects a sharded config that arms a fault plan
+  /// or concurrent writers: the injector targets one register group and a
+  /// shard has one designated writer.
   std::size_t shard_count = 0;
 
   /// churn::ChronicleOptions::aggregate_only for every System this run
@@ -118,6 +119,9 @@ struct ExperimentConfig {
 /// When the global replay::Session is in record or replay mode this entry
 /// point transparently captures, respectively re-feeds, the run's schedule
 /// (see src/replay/session.h); otherwise it is a plain run.
+///
+/// Throws std::invalid_argument for a config with shard_count > 0 that
+/// arms a fault plan or concurrent writers (both overloads).
 MetricsReport run_experiment(const ExperimentConfig& config);
 
 /// Same run, with explicit record/replay hooks (see replay/hooks.h) and no

@@ -15,19 +15,15 @@
 
 namespace dynreg::replay {
 
-/// Captures churn-driven membership actions and client target picks.
-/// Install via System::set_churn_observer + Client::set_target_observer;
-/// must outlive the run. Network decisions are captured separately by
+/// Captures client target picks. Install via Client::set_target_observer;
+/// must outlive the run. Every World of a run shares one, appending to the
+/// one trace in execution order. Network decisions are captured by
 /// RecordingDelayModel (the network owns its delay model, so a wrapper —
 /// not an observer — is the natural seam there).
-class TraceRecorder final : public churn::ChurnObserver, public client::TargetObserver {
+class PickRecorder final : public client::TargetObserver {
  public:
-  explicit TraceRecorder(Trace& out) : out_(out) {}
+  explicit PickRecorder(Trace& out) : out_(out) {}
 
-  void on_churn_join(sim::Time t) override { out_.churn.push_back({t, true, 0}); }
-  void on_churn_leave(sim::Time t, sim::ProcessId victim) override {
-    out_.churn.push_back({t, false, victim});
-  }
   void on_target(sim::Time now, sim::ProcessId chosen) override {
     out_.picks.push_back({now, chosen});
   }
@@ -36,15 +32,15 @@ class TraceRecorder final : public churn::ChurnObserver, public client::TargetOb
   Trace& out_;
 };
 
-/// Per-shard churn recorder for sharded runs (src/shard/): each shard's
-/// System gets its own observer tagging records with the shard id, all
-/// appending to the one shared Trace in execution order. Replay routes each
-/// record back to its shard's ReplayChurnModel by this tag (replayer.h) —
-/// ids and churn-tick times repeat across shards, so an untagged stream
-/// could not be demultiplexed.
-class ShardChurnRecorder final : public churn::ChurnObserver {
+/// Captures one World's churn-driven membership actions, tagged with the
+/// World's shard (0 when unsharded). Each World's System gets its own
+/// recorder, all appending to the one shared Trace in execution order.
+/// Replay routes each record back to its shard's ReplayChurnModel by this
+/// tag (replayer.h) — ids and churn-tick times repeat across shards, so an
+/// untagged stream could not be demultiplexed.
+class ChurnRecorder final : public churn::ChurnObserver {
  public:
-  ShardChurnRecorder(Trace& out, std::uint32_t shard) : out_(out), shard_(shard) {}
+  ChurnRecorder(Trace& out, std::uint32_t shard) : out_(out), shard_(shard) {}
 
   void on_churn_join(sim::Time t) override {
     out_.churn.push_back({t, true, 0, shard_});

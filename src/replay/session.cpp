@@ -1,6 +1,7 @@
 #include "replay/session.h"
 
 #include <string>
+#include <utility>
 
 #include "replay/trace_io.h"
 
@@ -86,6 +87,32 @@ std::size_t Session::replays() const {
 std::size_t Session::hash_mismatches() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return hash_mismatches_;
+}
+
+void Enrolment::begin(Session::Mode mode, std::uint64_t key, std::uint64_t seed) {
+  if (mode == Session::Mode::kRecord) {
+    recording_ = std::make_unique<Trace>();
+    recording_->fingerprint = key;
+    recording_->seed = seed;
+    hooks_.record = recording_.get();
+  } else {
+    replaying_ = Session::instance().find(key, seed);
+    hooks_.replay = replaying_.get();
+  }
+}
+
+void Enrolment::finish(std::uint64_t trace_hash) {
+  Session& session = Session::instance();
+  if (recording_) {
+    recording_->recorded_hash = trace_hash;
+    session.commit(std::move(*recording_));
+    recording_.reset();
+  } else if (replaying_) {
+    const std::uint64_t recorded = replaying_->recorded_hash;
+    session.note_replay(recorded == 0 || trace_hash == 0 || trace_hash == recorded);
+    replaying_.reset();
+  }
+  hooks_ = RunHooks{};
 }
 
 }  // namespace dynreg::replay

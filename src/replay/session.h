@@ -12,6 +12,8 @@
 // first wins and the rest are byte-identical duplicates, so the collected
 // trace set is independent of scheduling.
 //
+// A run joins the session through an Enrolment, the one place that turns
+// the session's mode into per-run hooks and settles the run afterwards.
 // Nested replay machinery (schedule search, the minimizer) bypasses the
 // session entirely via the run_experiment(cfg, RunHooks) overload.
 #pragma once
@@ -23,6 +25,7 @@
 #include <utility>
 #include <vector>
 
+#include "replay/hooks.h"
 #include "replay/trace.h"
 
 namespace dynreg::replay {
@@ -55,8 +58,7 @@ class Session {
                                                   std::uint64_t seed) const;
 
   /// Replay mode: tallies one completed replayed run and whether its audit
-  /// hash matched the recording (hash_match must be true when either side
-  /// ran without DYNREG_AUDIT — there is nothing to compare).
+  /// hash matched the recording.
   void note_replay(bool hash_match);
 
   /// Snapshot of the committed traces in deterministic (fingerprint, seed)
@@ -76,6 +78,41 @@ class Session {
   std::map<Key, std::shared_ptr<const Trace>> traces_;
   std::size_t replays_ = 0;
   std::size_t hash_mismatches_ = 0;
+};
+
+/// One run's enrolment in the session. Constructed before the run: in record
+/// mode it opens a fresh trace keyed (key, seed); in replay mode it looks up
+/// the trace filed under that key (TraceError when there is none); with the
+/// session off, or default-constructed, it does nothing. finish() settles
+/// the run with its audit hash.
+class Enrolment {
+ public:
+  /// Not enrolled: empty hooks, finish() is a no-op.
+  Enrolment() = default;
+
+  /// Enrols under (key(), seed). `key` is evaluated only while a session is
+  /// active, so a plain run never pays for its fingerprint.
+  template <typename KeyFn>
+  Enrolment(KeyFn&& key, std::uint64_t seed) {
+    const Session::Mode mode = Session::instance().mode();
+    if (mode != Session::Mode::kOff) begin(mode, key(), seed);
+  }
+
+  /// The hooks to run with: the open recording, the trace to replay, or none.
+  [[nodiscard]] const RunHooks& hooks() const { return hooks_; }
+
+  /// Record mode: stamps the trace with `trace_hash` and commits it.
+  /// Replay mode: tallies the replay, a mismatch unless the hashes agree.
+  /// A hash of 0 on either side means that side ran without the auditor
+  /// (DYNREG_AUDIT off): there is nothing to compare, so it counts as a match.
+  void finish(std::uint64_t trace_hash);
+
+ private:
+  void begin(Session::Mode mode, std::uint64_t key, std::uint64_t seed);
+
+  std::unique_ptr<Trace> recording_;
+  std::shared_ptr<const Trace> replaying_;
+  RunHooks hooks_;
 };
 
 }  // namespace dynreg::replay

@@ -53,8 +53,8 @@ inline ShardId shard_of(Key key, std::size_t shard_count) {
 }
 
 /// One shard's serving stack. All pointers are non-owning references into
-/// the run's per-shard worlds (owned by shard::run_sharded); process ids are
-/// per-System (every shard numbers its members from 0).
+/// the run's per-shard harness::Worlds; process ids are per-System (every
+/// shard numbers its members from 0).
 struct ShardRef {
   churn::System* system = nullptr;
   client::Client* client = nullptr;
@@ -75,6 +75,7 @@ class ShardMap {
   [[nodiscard]] std::size_t size() const { return shards_.size(); }
   [[nodiscard]] ShardRef& shard(ShardId s) { return shards_[s]; }
   [[nodiscard]] const ShardRef& shard(ShardId s) const { return shards_[s]; }
+  [[nodiscard]] const std::vector<ShardRef>& shards() const { return shards_; }
 
   [[nodiscard]] ShardId owner_of(Key key) const {
     return shard_of(key, shards_.size());

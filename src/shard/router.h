@@ -6,10 +6,10 @@
 // designated writer and serialize through its session FIFO, which is
 // exactly why aggregate write throughput scales with shard count.
 //
-// The router also owns the sharded harvest: per-shard ops/latency slices
-// (ShardMetrics), hot/cold-shard tail percentiles, hot-shard skew, and
-// aggregate throughput, merged with the global counters into one
-// MetricsReport.
+// The router also owns the sharded harvest: the shared group harvest
+// (harness::harvest) plus per-shard ops/latency slices (ShardMetrics),
+// hot/cold-shard tail percentiles, hot-shard skew, and aggregate
+// throughput.
 #pragma once
 
 #include "client/client.h"
@@ -48,9 +48,10 @@ class ShardedClient {
   [[nodiscard]] const ShardMap& map() const { return map_; }
 
   /// Aggregates every shard's counters, latencies, join/chronicle
-  /// accounting, and consistency checks into `report` (global fields plus
-  /// the per-shard ShardMetrics slices). `cfg` supplies duration/delta/n
-  /// for the chronicle queries and throughput. trace_hash is the caller's.
+  /// accounting, and consistency checks into `report` (harness::harvest's
+  /// global fields plus the per-shard ShardMetrics slices). `cfg` supplies
+  /// duration/delta for the chronicle queries and throughput. trace_hash is
+  /// the caller's.
   void harvest(const harness::ExperimentConfig& cfg,
                harness::MetricsReport& report) const;
 

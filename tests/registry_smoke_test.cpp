@@ -3,6 +3,8 @@
 // JSON serialization is independent of the worker count.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "emit.h"
 #include "registry.h"
 
@@ -62,6 +64,22 @@ TEST(Registry, JsonSerializationIndependentOfJobs) {
   const std::string b = to_json(*e, 1, e->run(pooled));
   EXPECT_EQ(a, b);
   EXPECT_EQ(a.find("jobs"), std::string::npos);  // execution detail: never emitted
+}
+
+TEST(Registry, ShardOverrideRejectsExperimentsItCannotHonour) {
+  // --shards on an experiment that arms a fault plan (E17) or concurrent
+  // writers (E12) must fail loudly rather than print a table the sharded
+  // path silently computed without them.
+  for (const char* name : {"fault_safety", "multi_writer"}) {
+    SCOPED_TRACE(name);
+    const Experiment* e = ExperimentRegistry::instance().find(name);
+    ASSERT_NE(e, nullptr);
+    RunOptions opts;
+    opts.seeds = 1;
+    opts.jobs = 2;
+    opts.workload.shards = 2;
+    EXPECT_THROW((void)run_resolved(*e, opts), std::invalid_argument);
+  }
 }
 
 }  // namespace

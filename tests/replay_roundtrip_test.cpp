@@ -14,6 +14,7 @@
 #include "registry.h"
 #include "replay/session.h"
 #include "replay/trace_io.h"
+#include "sim/simulation.h"
 
 namespace dynreg::bench {
 namespace {
@@ -187,6 +188,40 @@ TEST(ReplayRoundTrip, ScriptedScenarioExperimentsEnrollInTheSession) {
     const std::string replayed =
         replay_from(*e, replay::decode(replay::encode(rec.file)), /*jobs=*/1);
     EXPECT_EQ(replayed, rec.json);
+  }
+}
+
+/// Replays `file` with its first trace's recorded audit hash altered and
+/// returns the session's mismatch count.
+std::size_t mismatches_with_one_hash_altered(const Experiment& e, replay::TraceFile file) {
+  EXPECT_FALSE(file.traces.empty());
+  if (file.traces.empty()) return 0;
+  EXPECT_NE(file.traces.front().recorded_hash, 0u);
+  file.traces.front().recorded_hash ^= 1;
+  RunOptions opts;
+  opts.seeds = 1;
+  opts.max_n = 100;
+  opts.jobs = 1;
+  replay::Session& session = replay::Session::instance();
+  session.begin_replay(std::move(file.traces));
+  (void)e.run(opts);
+  const std::size_t mismatches = session.hash_mismatches();
+  session.end();
+  return mismatches;
+}
+
+TEST(ReplayRoundTrip, AlteredRecordedHashIsCountedAsAMismatch) {
+  // The replay audit must actually compare: a trace whose recorded hash no
+  // longer matches its run is one mismatch, for run_experiment runs (E4) and
+  // hand-built ScriptedCluster runs (E1) alike.
+  ASSERT_TRUE(sim::Simulation::audit_enabled())
+      << "configure with -DDYNREG_AUDIT=ON to test the trace auditor";
+  for (const char* name : {"es_churn_sweep", "fig3_join_wait"}) {
+    SCOPED_TRACE(name);
+    const Experiment* e = ExperimentRegistry::instance().find(name);
+    ASSERT_NE(e, nullptr);
+    Recorded rec = record(*e, /*jobs=*/1);
+    EXPECT_EQ(mismatches_with_one_hash_altered(*e, std::move(rec.file)), 1u);
   }
 }
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <stdexcept>
 #include <vector>
 
 #include "harness/experiment.h"
@@ -145,6 +146,31 @@ TEST(ShardedRun, RecordsAndReplaysByteIdentically) {
     EXPECT_EQ(replayed.shards[s].ops_completed, recorded.shards[s].ops_completed) << s;
     EXPECT_EQ(replayed.shards[s].latency_p99, recorded.shards[s].latency_p99) << s;
   }
+}
+
+TEST(ShardedRun, RejectsAFaultPlan) {
+  // The injector targets one register group; a sharded run used to drop
+  // the plan silently and report a fault-free safety table.
+  harness::ExperimentConfig cfg = sharded_config();
+  cfg.fault.crash.rate = 0.05;
+  ASSERT_TRUE(cfg.fault.enabled());
+  EXPECT_THROW((void)harness::run_experiment(cfg), std::invalid_argument);
+  EXPECT_THROW((void)harness::run_experiment(cfg, replay::RunHooks{}),
+               std::invalid_argument);
+  cfg.shard_count = 0;  // the same plan runs on the single-register path
+  const harness::MetricsReport r = harness::run_experiment(cfg, replay::RunHooks{});
+  EXPECT_GT(r.faults_crashes, 0u);
+}
+
+TEST(ShardedRun, RejectsConcurrentWriters) {
+  // Each shard has one designated writer; a multi-writer config used to run
+  // as single-writer shards without a word.
+  harness::ExperimentConfig cfg = sharded_config();
+  cfg.workload.writer_mode = workload::WriterMode::kConcurrent;
+  cfg.workload.concurrent_writers = 3;
+  EXPECT_THROW((void)harness::run_experiment(cfg), std::invalid_argument);
+  EXPECT_THROW((void)harness::run_experiment(cfg, replay::RunHooks{}),
+               std::invalid_argument);
 }
 
 }  // namespace
